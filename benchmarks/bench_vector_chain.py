@@ -2,7 +2,9 @@
 
 Throughput rows cover ``n = 1000`` through ``n = 20000`` — the regime the
 vector engine exists for — and land in ``BENCH_chain.json`` next to the
-scalar engines' rows.  The acceptance gate
+scalar engines' rows.  The ``vector_setup`` row times what precedes a
+large run: building a compact start of ``n = 3*10^5`` and ``10^6``
+particles and constructing the engine on it.  The acceptance gate
 (``test_vector_engine_speedup_at_n1000``, slow lane) demands at least a
 3x advantage over :class:`~repro.core.fast_chain.FastCompressionChain`
 at ``n = 1000``; the differential harness
@@ -18,11 +20,13 @@ rounds is the robust estimate of the engines' actual relative capability.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
 
 import _emit
+from _starts import compact_disc
 from repro.core.fast_chain import FastCompressionChain
 from repro.core.vector_chain import VectorCompressionChain
 from repro.lattice.shapes import line
@@ -50,6 +54,29 @@ def test_vector_chain_throughput(n):
         iterations_per_second=rate,
     )
     assert rate > 0
+
+
+def _setup_seconds(n):
+    """Seconds from building a compact start of ``n`` particles through the
+    first vector-engine construction on it."""
+    started = time.perf_counter()
+    VectorCompressionChain(compact_disc(n), lam=4.0, seed=0)
+    return time.perf_counter() - started
+
+
+def test_vector_setup_throughput():
+    """Set-up rate at large n: particles over the median of three timings.
+
+    The fields end in ``_per_second``, so the ledger's regression guard
+    covers set-up the same way it covers chain throughput.
+    """
+    fields = {}
+    for n in (300_000, 1_000_000):
+        seconds = statistics.median(_setup_seconds(n) for _ in range(3))
+        fields[f"setup_seconds_n{n}"] = seconds
+        fields[f"setup_particles_per_second_n{n}"] = n / seconds
+    _emit.record("vector_setup", engine="vector", repeats=3, **fields)
+    assert all(value > 0 for value in fields.values())
 
 
 @pytest.mark.slow

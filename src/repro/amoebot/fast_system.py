@@ -181,7 +181,7 @@ class FastAmoebotSystem:
         """
         if not self._hole_free:
             configuration = self.configuration
-            if configuration.holes:
+            if configuration.hole_count:
                 return configuration.perimeter
             self._hole_free = True
         return 3 * self.n - 3 - self._edge_count

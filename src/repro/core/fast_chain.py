@@ -53,14 +53,15 @@ harness is the contract that keeps the two interchangeable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.constants import FORBIDDEN_NEIGHBOR_COUNT
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
-from repro.lattice.triangular import DIRECTIONS, Node, neighbors, nodes_bounding_box
+from repro.lattice.plane import node_array
+from repro.lattice.triangular import DIRECTIONS, Node
 from repro.core.kernels import CompressionKernel, WeightKernel
 from repro.core.markov_chain import REJECTION_REASONS, StepResult
 from repro.core.moves import (  # re-exported for backward compatibility
@@ -116,15 +117,18 @@ class OccupancyGrid:
         "ring_offsets",
     )
 
-    def __init__(self, nodes: Iterable[Node], margin: int = DEFAULT_GRID_MARGIN) -> None:
-        node_list = list(nodes)
-        if not node_list:
+    def __init__(
+        self, nodes: Union[Iterable[Node], np.ndarray], margin: int = DEFAULT_GRID_MARGIN
+    ) -> None:
+        coords = nodes if isinstance(nodes, np.ndarray) else node_array(nodes)
+        if not len(coords):
             raise ConfigurationError("an occupancy grid needs at least one occupied node")
         if margin <= GUARD_BAND:
             raise ConfigurationError(
                 f"margin must exceed the guard band ({GUARD_BAND}), got {margin}"
             )
-        min_x, min_y, max_x, max_y = nodes_bounding_box(node_list)
+        min_x, min_y = coords.min(axis=0).tolist()
+        max_x, max_y = coords.max(axis=0).tolist()
         self.origin_x = min_x - margin
         self.origin_y = min_y - margin
         width = (max_x - min_x + 1) + 2 * margin
@@ -133,8 +137,7 @@ class OccupancyGrid:
         self.height = height
         self.cells = bytearray(width * height)
         self.array = np.frombuffer(self.cells, dtype=np.int8).reshape(height, width)
-        for node in node_list:
-            self.cells[self.flat_index(node)] = 1
+        self.array.reshape(-1)[self.flat_indices(coords)] = 1
         self.direction_offsets = tuple(dy * width + dx for dx, dy in DIRECTIONS)
         self.ring_offsets = tuple(
             tuple(dy * width + dx for dx, dy in ring) for ring in RING_OFFSETS
@@ -146,6 +149,10 @@ class OccupancyGrid:
     def flat_index(self, node: Node) -> int:
         """Return the flat cell index of axial node ``(x, y)``."""
         return (node[1] - self.origin_y) * self.width + (node[0] - self.origin_x)
+
+    def flat_indices(self, coords: np.ndarray) -> np.ndarray:
+        """Return the flat cell indices of an ``(n, 2)`` array of ``(x, y)`` rows."""
+        return (coords[:, 1] - self.origin_y) * self.width + (coords[:, 0] - self.origin_x)
 
     def node_at(self, flat: int) -> Node:
         """Return the axial node of a flat cell index."""
@@ -304,11 +311,14 @@ class FastCompressionChain:
         self._mode = kernel.mode
         self.lam = kernel.lam
         self._rng = make_rng(seed)
-        ordered = sorted(initial.nodes)  # index order matches the reference engine
+        # Particle index order is sorted(initial.nodes), as in the
+        # reference engine: by x, then y.
+        coords = initial.coords
+        ordered = coords[np.lexsort((coords[:, 1], coords[:, 0]))]
         self._n = len(ordered)
         self._draws = BatchedMoveDraws(self._rng, self._n, draw_block, lanes=kernel.lanes)
         self._grid = OccupancyGrid(ordered)
-        self._pos: List[int] = [self._grid.flat_index(node) for node in ordered]
+        self._pos: List[int] = self._grid.flat_indices(ordered).tolist()
         self._edge_count = initial.edge_count
         self._hole_free = initial.is_hole_free
         self._iterations = 0
@@ -319,10 +329,10 @@ class FastCompressionChain:
         }
         self._swap_probability = kernel.swap_probability
         self._nb_before, self._nb_after, self._property_ok = move_tables()
-        self._init_kernel_state(initial, ordered)
+        self._init_kernel_state(initial)
         self._configuration_cache: Optional[ParticleConfiguration] = initial
 
-    def _init_kernel_state(self, initial: ParticleConfiguration, ordered: List[Node]) -> None:
+    def _init_kernel_state(self, initial: ParticleConfiguration) -> None:
         """Build the acceptance tables and auxiliary byte planes."""
         kernel = self._kernel
         if self._mode == "edge":
@@ -334,7 +344,7 @@ class FastCompressionChain:
             self._site_plane = kernel.build_site_plane(self._grid)
             self._site_count = sum(self._site_plane[flat] for flat in self._pos)
         elif self._mode == "edge_color":
-            if set(kernel.colors) != set(ordered):
+            if set(kernel.colors) != initial.nodes:
                 raise ConfigurationError(
                     "the kernel's color map must cover exactly the occupied nodes"
                 )
@@ -436,7 +446,7 @@ class FastCompressionChain:
         """
         if not self._hole_free:
             configuration = self.configuration
-            if configuration.holes:
+            if configuration.hole_count:
                 return configuration.perimeter
             self._hole_free = True
         return 3 * self._n - 3 - self._edge_count
@@ -445,10 +455,10 @@ class FastCompressionChain:
         """The number of holes in the current configuration."""
         if self._hole_free:
             return 0
-        holes = self.configuration.holes
+        holes = self.configuration.hole_count
         if not holes:
             self._hole_free = True
-        return len(holes)
+        return holes
 
     # ------------------------------------------------------------------ #
     # Dynamics

@@ -259,7 +259,7 @@ class CompressionMarkovChain:
 
     def hole_count(self) -> int:
         """The number of holes in the current configuration."""
-        return len(self.configuration.holes)
+        return self.configuration.hole_count
 
     # ------------------------------------------------------------------ #
     # Dynamics

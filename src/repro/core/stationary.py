@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import AnalysisError
@@ -177,14 +176,11 @@ def verify_detailed_balance(
 def verify_irreducibility(space: StateSpace, matrix: np.ndarray) -> bool:
     """Check that the chain restricted to ``Omega*`` is irreducible (Lemma 3.10)."""
     indices = space.hole_free_indices
-    graph = nx.DiGraph()
-    graph.add_nodes_from(int(i) for i in indices)
-    index_set = set(int(i) for i in indices)
-    for i in index_set:
-        for j in index_set:
-            if i != j and matrix[i, j] > 0:
-                graph.add_edge(i, j)
-    return nx.is_strongly_connected(graph)
+    if not indices.size:
+        return True
+    within = matrix[np.ix_(indices, indices)] > 0
+    # Strongly connected iff state 0 reaches every state, forwards and backwards.
+    return bool(_reachable(within, 0).all() and _reachable(within.T, 0).all())
 
 
 def verify_aperiodicity(space: StateSpace, matrix: np.ndarray) -> bool:
@@ -205,24 +201,24 @@ def verify_transience_of_holes(space: StateSpace, matrix: np.ndarray) -> bool:
     This is the structural content of Lemmas 3.2 and 3.8: states with holes
     are transient; hole-free states are absorbing as a set.
     """
-    graph = nx.DiGraph()
-    size = space.size
-    graph.add_nodes_from(range(size))
-    rows, cols = np.nonzero(matrix > 0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            graph.add_edge(i, j)
-    hole_free = set(int(i) for i in space.hole_free_indices)
+    moves = matrix > 0
+    hole_free = np.zeros(space.size, dtype=bool)
+    hole_free[space.hole_free_indices] = True
     # No escape from Omega*.
-    for i in hole_free:
-        for j in graph.successors(i):
-            if j not in hole_free:
-                return False
+    if moves[hole_free][:, ~hole_free].any():
+        return False
     # Every holey state reaches Omega*.
-    for i in range(size):
-        if i in hole_free:
-            continue
-        reachable = nx.descendants(graph, i)
-        if not (reachable & hole_free):
-            return False
-    return True
+    return all(
+        (_reachable(moves, i) & hole_free).any() for i in np.flatnonzero(~hole_free)
+    )
+
+
+def _reachable(moves: np.ndarray, source: int) -> np.ndarray:
+    """States reachable from ``source`` (itself included) along ``moves[i, j]`` edges."""
+    seen = np.zeros(len(moves), dtype=bool)
+    seen[source] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = moves[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen

@@ -12,13 +12,14 @@ Two independent computations are provided:
   Lemma 2.3 / Lemma 4.3: for a connected configuration, the number of
   (occupied, exterior) adjacent pairs equals ``2 * p_ext + 6`` and, for each
   hole ``H``, the number of (occupied, hole-cell) adjacent pairs equals
-  ``2 * p_H - 6``.  This is an O(n) computation and is what
-  :class:`~repro.lattice.configuration.ParticleConfiguration` uses.
+  ``2 * p_H - 6``.  This is an O(n) computation.
+  :class:`~repro.lattice.configuration.ParticleConfiguration` reads the
+  same number off its occupancy plane as ``p = 3n - 3 - e + 3h``.
 
 * :func:`external_boundary_walk` and :func:`hole_boundary_walks` explicitly
   trace the boundary walks with a pivot ("hand on the wall") traversal.
-  The walk lengths agree with the counting identity; the test suite checks
-  this on randomly generated configurations.
+  The walk lengths agree with both counts; the test suite checks this on
+  randomly generated configurations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.lattice.holes import exterior_cells, find_holes
+from repro.lattice.holes import find_holes
+from repro.lattice.plane import OccupancyPlane
 from repro.lattice.triangular import (
     NUM_DIRECTIONS,
     Node,
@@ -180,7 +182,7 @@ def total_perimeter(occupied: AbstractSet[Node]) -> int:
         raise ConfigurationError("cannot compute the perimeter of an empty configuration")
     if len(occupied) == 1:
         return 0
-    if not _is_connected(occupied):
+    if OccupancyPlane.from_nodes(occupied).component_count != 1:
         raise ConfigurationError(
             "perimeter is only defined for connected configurations; "
             "compute it per connected component instead"
@@ -195,17 +197,3 @@ def total_perimeter(occupied: AbstractSet[Node]) -> int:
         perimeter += (count + 6) // 2
     return perimeter
 
-
-def _is_connected(occupied: AbstractSet[Node]) -> bool:
-    from collections import deque
-
-    start = next(iter(occupied))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for nb in neighbors(current):
-            if nb in occupied and nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(occupied)

@@ -14,15 +14,16 @@ from collections import deque
 from functools import cached_property
 from typing import AbstractSet, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError, DisconnectedConfigurationError, InvalidMoveError
 from repro.lattice import boundary as boundary_module
-from repro.lattice import holes as holes_module
+from repro.lattice.plane import OccupancyPlane, node_array
 from repro.lattice.triangular import (
     Node,
     are_adjacent,
     canonical_translation,
     neighbors,
-    nodes_bounding_box,
     to_cartesian,
 )
 
@@ -92,66 +93,71 @@ class ParticleConfiguration:
         return len(self._nodes)
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        """The occupied nodes as a read-only ``(n, 2)`` int64 array of ``(x, y)`` rows.
+
+        Rows follow the iteration order of :attr:`nodes`.
+        """
+        coords = node_array(self._nodes)
+        coords.setflags(write=False)
+        return coords
+
+    @cached_property
+    def plane(self) -> OccupancyPlane:
+        """The boolean occupancy plane every derived count below is read from."""
+        return OccupancyPlane(self.coords)
+
+    @property
     def edge_count(self) -> int:
         """Number of induced lattice edges ``e(sigma)``."""
-        count = 0
-        for node in self._nodes:
-            x, y = node
-            # Count each edge once by only looking at three of the six
-            # directions (E, NE, NW); the opposite directions are covered
-            # from the other endpoint.
-            for nb in ((x + 1, y), (x, y + 1), (x - 1, y + 1)):
-                if nb in self._nodes:
-                    count += 1
-        return count
+        return self.plane.edge_count
 
-    @cached_property
+    @property
     def triangle_count(self) -> int:
         """Number of induced triangular faces ``t(sigma)``."""
-        count = 0
-        for node in self._nodes:
-            x, y = node
-            east = (x + 1, y)
-            if east not in self._nodes:
-                continue
-            if (x, y + 1) in self._nodes:
-                count += 1
-            if (x + 1, y - 1) in self._nodes:
-                count += 1
-        return count
+        return self.plane.triangle_count
 
-    @cached_property
+    @property
+    def component_count(self) -> int:
+        """Number of connected components of the configuration graph."""
+        return self.plane.component_count
+
+    @property
     def is_connected(self) -> bool:
         """Whether the configuration graph is connected."""
-        start = next(iter(self._nodes))
-        seen = {start}
-        queue: deque[Node] = deque([start])
-        while queue:
-            current = queue.popleft()
-            for nb in neighbors(current):
-                if nb in self._nodes and nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self._nodes)
+        return self.component_count == 1
+
+    @property
+    def hole_count(self) -> int:
+        """Number of holes, by Euler's formula ``h = e - n - t + c``."""
+        return self.plane.hole_count
 
     @cached_property
     def holes(self) -> Tuple[FrozenSet[Node], ...]:
-        """The holes of the configuration (tuples of enclosed unoccupied cells)."""
-        return tuple(holes_module.find_holes(self._nodes))
+        """The holes of the configuration (tuples of enclosed unoccupied cells).
+
+        Sorted by the minimum ``(y, x)`` cell of each hole.
+        """
+        return tuple(self.plane.holes())
 
     @property
     def has_holes(self) -> bool:
         """Whether the configuration encloses at least one unoccupied cell."""
-        return bool(self.holes)
+        return self.hole_count > 0
 
     @property
     def is_hole_free(self) -> bool:
         """Whether the configuration has no holes (i.e. lies in ``Omega*``)."""
-        return not self.holes
+        return self.hole_count == 0
 
     @cached_property
     def perimeter(self) -> int:
         """Total perimeter ``p(sigma)`` (external boundary plus hole boundaries).
+
+        Read off ``p = 3n - 3 - e + 3h``: summing face degrees gives
+        ``2e = 3t + p`` and Euler's formula ``t = e - n + 1 - h``.
+        :func:`repro.lattice.boundary.total_perimeter` counts the same
+        number from boundary adjacencies.
 
         Raises
         ------
@@ -162,7 +168,7 @@ class ParticleConfiguration:
             raise DisconnectedConfigurationError(
                 "perimeter is only defined for connected configurations"
             )
-        return boundary_module.total_perimeter(self._nodes)
+        return 3 * self.n - 3 - self.edge_count + 3 * self.hole_count
 
     @cached_property
     def external_boundary(self) -> boundary_module.BoundaryWalk:
@@ -178,7 +184,9 @@ class ParticleConfiguration:
     @cached_property
     def bounding_box(self) -> Tuple[int, int, int, int]:
         """``(min_x, min_y, max_x, max_y)`` of the occupied nodes."""
-        return nodes_bounding_box(self._nodes)
+        min_x, min_y = self.coords.min(axis=0).tolist()
+        max_x, max_y = self.coords.max(axis=0).tolist()
+        return (min_x, min_y, max_x, max_y)
 
     @cached_property
     def diameter(self) -> int:

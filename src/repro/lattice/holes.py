@@ -2,23 +2,18 @@
 
 A *hole* of a configuration is a finite, maximal connected set of
 unoccupied lattice nodes that is completely enclosed by particles
-(Section 2.2 of the paper).  Detection works by flood-filling the
-unoccupied nodes of a bounding box padded by one lattice unit: any
-unoccupied node inside the padded box that is not reachable from the
-box's border belongs to a hole.
+(Section 2.2 of the paper).  Detection labels the connected components of
+the unoccupied cells of an :class:`~repro.lattice.plane.OccupancyPlane`,
+the bounding box padded by one lattice unit: the component that holds
+the box's corner is the exterior, and every other one is a hole.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import AbstractSet, FrozenSet, Iterable, List, Set
+from typing import AbstractSet, FrozenSet, List, Set
 
-from repro.lattice.triangular import Node, neighbors, nodes_bounding_box
-
-
-def _padded_box(occupied: AbstractSet[Node], padding: int = 1) -> tuple[int, int, int, int]:
-    min_x, min_y, max_x, max_y = nodes_bounding_box(occupied)
-    return (min_x - padding, min_y - padding, max_x + padding, max_y + padding)
+from repro.lattice.plane import OccupancyPlane
+from repro.lattice.triangular import Node
 
 
 def exterior_cells(occupied: AbstractSet[Node]) -> Set[Node]:
@@ -30,37 +25,18 @@ def exterior_cells(occupied: AbstractSet[Node]) -> Set[Node]:
     """
     if not occupied:
         return set()
-    min_x, min_y, max_x, max_y = _padded_box(occupied)
-
-    def in_box(node: Node) -> bool:
-        return min_x <= node[0] <= max_x and min_y <= node[1] <= max_y
-
-    start = (min_x, min_y)
-    seen: Set[Node] = {start}
-    queue: deque[Node] = deque([start])
-    while queue:
-        current = queue.popleft()
-        for nb in neighbors(current):
-            if nb in seen or nb in occupied or not in_box(nb):
-                continue
-            seen.add(nb)
-            queue.append(nb)
-    return seen
+    plane = OccupancyPlane.from_nodes(occupied)
+    labels, _ = plane.empty_labels()
+    return plane.nodes(labels == 1)
 
 
 def hole_cells(occupied: AbstractSet[Node]) -> Set[Node]:
     """Return every unoccupied node enclosed by the configuration."""
     if not occupied:
         return set()
-    min_x, min_y, max_x, max_y = _padded_box(occupied)
-    outside = exterior_cells(occupied)
-    enclosed: Set[Node] = set()
-    for x in range(min_x, max_x + 1):
-        for y in range(min_y, max_y + 1):
-            node = (x, y)
-            if node not in occupied and node not in outside:
-                enclosed.add(node)
-    return enclosed
+    plane = OccupancyPlane.from_nodes(occupied)
+    labels, _ = plane.empty_labels()
+    return plane.nodes(labels >= 2)
 
 
 def find_holes(occupied: AbstractSet[Node]) -> List[FrozenSet[Node]]:
@@ -70,25 +46,11 @@ def find_holes(occupied: AbstractSet[Node]) -> List[FrozenSet[Node]]:
     particles.  The list is sorted by the minimum ``(y, x)`` cell of each
     hole so the output is deterministic.
     """
-    enclosed = hole_cells(occupied)
-    holes: List[FrozenSet[Node]] = []
-    remaining = set(enclosed)
-    while remaining:
-        seed = next(iter(remaining))
-        component: Set[Node] = {seed}
-        queue: deque[Node] = deque([seed])
-        while queue:
-            current = queue.popleft()
-            for nb in neighbors(current):
-                if nb in remaining and nb not in component:
-                    component.add(nb)
-                    queue.append(nb)
-        remaining -= component
-        holes.append(frozenset(component))
-    holes.sort(key=lambda h: min((y, x) for x, y in h))
-    return holes
+    if not occupied:
+        return []
+    return OccupancyPlane.from_nodes(occupied).holes()
 
 
 def has_holes(occupied: AbstractSet[Node]) -> bool:
     """Return ``True`` if the configuration encloses at least one unoccupied node."""
-    return bool(hole_cells(occupied))
+    return bool(occupied) and OccupancyPlane.from_nodes(occupied).hole_count > 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.lattice.configuration import ParticleConfiguration
 from repro.lattice.triangular import DIRECTIONS, Node, add, hex_distance, neighbors, scale
@@ -74,13 +76,9 @@ def hexagon(radius: int) -> ParticleConfiguration:
     """
     if radius < 0:
         raise ConfigurationError(f"radius must be non-negative, got {radius}")
-    nodes = [
-        (x, y)
-        for x in range(-radius, radius + 1)
-        for y in range(-radius, radius + 1)
-        if hex_distance((0, 0), (x, y)) <= radius
-    ]
-    return ParticleConfiguration(nodes)
+    xs, ys, distance = _hex_distances(radius)
+    inside = distance <= radius
+    return ParticleConfiguration(zip(xs[inside].tolist(), ys[inside].tolist()))
 
 
 def ring(radius: int) -> ParticleConfiguration:
@@ -91,13 +89,20 @@ def ring(radius: int) -> ParticleConfiguration:
     """
     if radius < 1:
         raise ConfigurationError(f"ring radius must be at least 1, got {radius}")
-    nodes = [
-        (x, y)
-        for x in range(-radius, radius + 1)
-        for y in range(-radius, radius + 1)
-        if hex_distance((0, 0), (x, y)) == radius
-    ]
-    return ParticleConfiguration(nodes)
+    xs, ys, distance = _hex_distances(radius)
+    on_ring = distance == radius
+    return ParticleConfiguration(zip(xs[on_ring].tolist(), ys[on_ring].tolist()))
+
+
+def _hex_distances(radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the square ``[-radius, radius]^2`` and their hop distance to the origin.
+
+    Flattened x-major, so masks of them list nodes in ``(x, y)`` order.
+    """
+    span = np.arange(-radius, radius + 1)
+    xs, ys = (axis.reshape(-1) for axis in np.meshgrid(span, span, indexing="ij"))
+    distance = np.maximum(np.maximum(np.abs(xs), np.abs(ys)), np.abs(xs + ys))
+    return xs, ys, distance
 
 
 def parallelogram(rows: int, cols: int) -> ParticleConfiguration:

@@ -474,7 +474,7 @@ def run_amoebot_job(job: AmoebotJob) -> ChainResult:
             iteration=system.stats.activations,
             perimeter=perimeter,
             edges=configuration.edge_count,
-            holes=len(configuration.holes),
+            holes=configuration.hole_count,
             alpha=perimeter / pmin if pmin else 1.0,
             beta=perimeter / pmax if pmax else 0.0,
         )
